@@ -23,10 +23,12 @@ bench:
 
 # One iteration per benchmark across the repo — the CI smoke job. The
 # perfbench suite includes the traced dispatch-loop config
-# (BenchmarkDispatchLoopTraced), so the trace tier is exercised here too.
+# (BenchmarkDispatchLoopTraced), so the trace tier is exercised here too,
+# and the allocation gates: steady-state dispatch allocates nothing, and
+# cold translation stays under its allocs-per-translation bound.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$' ./internal/perfbench/
+	$(GO) test -run '^TestSteadyStateAllocs$$|^TestColdTranslateAllocs$$|^TestSuiteRuns$$' ./internal/perfbench/
 
 # Pool chaos suite under the race detector: ≥8 concurrent sessions with
 # faults firing at every injection point, results checked bit-identical

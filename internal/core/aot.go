@@ -26,7 +26,7 @@ func (e *Engine) alignDecoder() align.Decoder {
 		if err != nil {
 			return guest.Inst{}, 0, err
 		}
-		return de.inst, de.len, nil
+		return de.inst, int(de.len), nil
 	}
 }
 
@@ -77,7 +77,9 @@ func (e *Engine) preseedAOT(entry uint32) {
 	if cfg != nil {
 		e.aotCoverage = cfg.VerifyCoverage(func(pc uint32) bool { return covered[pc] })
 	}
-	e.event(EvTranslate, entry, 0, fmt.Sprintf("aot preseed: %d blocks", e.stats.AOTBlocks))
+	if e.events != nil {
+		e.event(EvTranslate, entry, 0, fmt.Sprintf("aot preseed: %d blocks", e.stats.AOTBlocks))
+	}
 	e.selfCheck("aot preseed")
 }
 

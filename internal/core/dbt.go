@@ -56,13 +56,15 @@ type Engine struct {
 	// signature).
 	optErr error
 
-	cc       *codeCache
+	cc *codeCache
+	// tr is the translator's reusable scratch (translate.go).
+	tr       translateScratch
 	blocks   map[uint32]*block
 	exits    []*exit
 	sites    map[uint64]siteRef
 	profiles map[uint32]*blockProfile
-	// dec is the PC-indexed decode cache; its entries also carry the
-	// per-instruction alignment profiles (formerly separate maps).
+	// dec is the PC-indexed decode cache; it also holds the
+	// per-instruction alignment profiles, indexed from its entries.
 	dec decodeCache
 	// blockLUT is a direct-mapped, PC-indexed front for the blocks map on
 	// the dispatch path. Entries are filled on lookup and evicted when the
@@ -156,9 +158,9 @@ func NewEngine(m *mem.Memory, mach *machine.Machine, opt Options) *Engine {
 }
 
 // configure (re)initializes every piece of translator state for opt. The
-// decode cache's dense arena and the code cache's address range are reused
-// in place; everything else is rebuilt, so a configured engine is
-// indistinguishable from a fresh one.
+// decode cache's page arenas, the translation scratch buffers and the code
+// cache's address range are reused in place; everything else is rebuilt,
+// so a configured engine is indistinguishable from a fresh one.
 func (e *Engine) configure(opt Options) {
 	opt.normalize()
 	e.Opt = opt
@@ -171,8 +173,7 @@ func (e *Engine) configure(opt Options) {
 	e.exits = nil
 	e.sites = make(map[uint64]siteRef)
 	e.profiles = make(map[uint32]*blockProfile)
-	clear(e.dec.dense) // keep the arena; every entry back to undecoded
-	clear(e.dec.far)
+	e.dec.reset() // keep the page arenas; every entry back to undecoded
 	e.lutClear()
 	e.retainedMDA = make(map[uint32]map[int]bool)
 	e.trapSites = make(map[uint32]uint64)
@@ -224,10 +225,10 @@ func (e *Engine) configure(opt Options) {
 // just-constructed state under opt, so one System can execute program after
 // program with fresh statistics and a cold simulated machine. It is the
 // cheap-reuse primitive of the serving layer (internal/serve): the memory's
-// page arena, the machine's decode-cache window, the guest decode cache,
-// and the code-cache address range are all retained, only their contents
-// cleared. A reset engine produces bit-identical results and statistics to
-// a freshly built one.
+// page arena, the machine's decode-cache window, the guest decode cache's
+// page arenas, the translator's scratch buffers, and the code-cache address
+// range are all retained, only their contents cleared. A reset engine
+// produces bit-identical results and statistics to a freshly built one.
 func (e *Engine) Reset(opt Options) {
 	e.Mem.Reset()
 	e.Mach.Reset()
@@ -382,7 +383,9 @@ func (e *Engine) handleAdaptiveRevert(id uint32) error {
 		e.reverted[ref.b.guestPC] = set
 	}
 	set[ref.instIdx] = true
-	e.event(EvRevert, ref.b.guestPC, 0, fmt.Sprintf("site #%d", ref.instIdx))
+	if e.events != nil {
+		e.event(EvRevert, ref.b.guestPC, 0, fmt.Sprintf("site #%d", ref.instIdx))
+	}
 	// Reverting wins over the trap-discovered record, else the next
 	// translation would immediately re-inline the sequence. The streak
 	// counter resets so the stale code cannot refire before its block
@@ -849,8 +852,13 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		return pc + host.InstBytes
 	}
 	b, site := ref.b, ref.site
-	e.event(EvTrap, site.guestPC, pc, fmt.Sprintf("ea=%#x", ea))
+	if e.events != nil {
+		e.event(EvTrap, site.guestPC, pc, fmt.Sprintf("ea=%#x", ea))
+	}
 	b.trapCount++
+	if b.knownMDA == nil {
+		b.knownMDA = make(map[int]bool)
+	}
 	b.knownMDA[site.instIdx] = true
 	e.retained(b.guestPC)[site.instIdx] = true
 	m.AddTrapCycles(e.Opt.EHHandlerCycles)
@@ -928,7 +936,10 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		m.EmulateAccess(inst, ea)
 		return pc + host.InstBytes
 	}
-	a := host.NewAsm(addr)
+	// The stub assembles in the translator's scratch assembler: the
+	// handler runs between translations, never inside one.
+	a := &e.tr.asm
+	a.Reset(addr)
 	emitMDA(a, k, inst.Ra, inst.Rb, inst.Disp)
 	a.BrTo(host.BR, host.Zero, pc+host.InstBytes)
 	words, aerr := a.Finish()
@@ -950,13 +961,18 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		return pc + host.InstBytes
 	}
 	m.Patch(pc, host.MustEncode(host.Inst{Op: host.BR, Ra: host.Zero, Disp: d}))
+	if site.patched == nil {
+		site.patched = make(map[uint64]bool)
+	}
 	site.patched[pc] = true
 	// The stub now carries live guest accesses: register its range so a
 	// protection trap inside it attributes back to the site's instruction.
 	e.stubRanges = append(e.stubRanges, stubRange{
 		lo: addr, hi: addr + stubLen, b: b, idx: site.instIdx,
 	})
-	e.event(EvPatch, site.guestPC, pc, fmt.Sprintf("stub=%#x", addr))
+	if e.events != nil {
+		e.event(EvPatch, site.guestPC, pc, fmt.Sprintf("stub=%#x", addr))
+	}
 	e.stats.Patches++
 	e.stats.MDAStubs++
 	e.selfCheck("patch")

@@ -5,33 +5,44 @@ import (
 	"mdabt/internal/mem"
 )
 
-// decEntry caches one decoded guest instruction together with its alignment
-// profile. Fusing the profile pointer into the decode entry removes the
-// separate per-memory-op profile map lookup from the interpreter's inner
-// loop: the entry is already in hand when the profile is updated.
+// decEntry caches one decoded guest instruction together with a handle on
+// its alignment profile. The entry holds no pointers — the profile lives in
+// the cache's side table, named by index — so the decode arena is
+// invisible to the garbage collector's mark phase however large it grows.
+// The interpreter still updates a site's profile without a map lookup:
+// the index is in hand with the decoded instruction.
 type decEntry struct {
 	inst guest.Inst
-	len  int          // 0 = not decoded yet
-	prof *siteProfile // lazily created on first profiled execution
-}
-
-// profile returns the entry's alignment profile, creating it on first use.
-func (de *decEntry) profile() *siteProfile {
-	if de.prof == nil {
-		de.prof = &siteProfile{}
-	}
-	return de.prof
+	len  uint8  // encoded length; 0 = not decoded yet
+	prof uint32 // 1 + index into decodeCache.profs; 0 = not profiled yet
 }
 
 // Guest code is loaded contiguously at guest.CodeBase, so the decode cache
-// is PC-indexed: a dense window of decDenseLimit bytes starting at the code
-// base, grown on demand, with a map fallback for the rare instruction
-// outside it (tests placing code elsewhere). One entry per byte address —
-// the guest ISA is variable-length, so any byte can start an instruction.
+// is PC-indexed: a window of decDenseLimit bytes starting at the code base,
+// with a map fallback for the rare instruction outside it (tests placing
+// code elsewhere). One entry per byte address — the guest ISA is
+// variable-length, so any byte can start an instruction.
+//
+// The window is paged: one decPage of entries per touched decPageSize-byte
+// guest page, allocated on first touch, so a program pays for the code it
+// runs rather than for the distance from the code base to its highest PC.
 const (
 	decDenseBase  = uint32(guest.CodeBase)
 	decDenseLimit = uint32(4 << 20)
+	decPageShift  = 12
+	decPageSize   = 1 << decPageShift
+	decPages      = decDenseLimit >> decPageShift
 )
+
+// decPage holds the entries of one guest code page.
+type decPage [decPageSize]decEntry
+
+// decPageSlot is one window page: its arena (retained across reset once
+// allocated) and whether it holds entries of the current generation.
+type decPageSlot struct {
+	p     *decPage
+	dirty bool
+}
 
 // decodeCache is a PC-indexed cache of decoded guest instructions. The zero
 // value is ready to use. Entries stay valid until a guest store overlaps
@@ -40,26 +51,47 @@ const (
 // changed. Per-site profiles can also be reset individually (retranslation
 // restarts profiling).
 type decodeCache struct {
-	dense []decEntry // indexed by pc - decDenseBase
-	far   map[uint32]*decEntry
+	pages   []decPageSlot // decPages slots, made on first use
+	touched []uint32      // indices of the dirty pages, for reset
+	hi      uint32        // window offset just past the highest dirty page
+	far     map[uint32]*decEntry
+	// profs is the profile side table; free lists the slots of dropped
+	// profiles for reuse.
+	profs []siteProfile
+	free  []uint32
+}
+
+// reset empties the cache for a new program. Page arenas stay allocated and
+// only the touched ones are cleared, so a reset cache re-running the same
+// program allocates nothing.
+func (c *decodeCache) reset() {
+	for _, i := range c.touched {
+		clear(c.pages[i].p[:])
+		c.pages[i].dirty = false
+	}
+	c.touched = c.touched[:0]
+	c.hi = 0
+	clear(c.far)
+	c.profs = c.profs[:0]
+	c.free = c.free[:0]
 }
 
 // entry returns the cache slot for pc, allocating backing storage as needed.
 func (c *decodeCache) entry(pc uint32) *decEntry {
 	if off := pc - decDenseBase; off < decDenseLimit {
-		if off >= uint32(len(c.dense)) {
-			newLen := uint32(2 * len(c.dense))
-			if newLen < off+64 {
-				newLen = off + 64
-			}
-			if newLen > decDenseLimit {
-				newLen = decDenseLimit
-			}
-			nd := make([]decEntry, newLen)
-			copy(nd, c.dense)
-			c.dense = nd
+		if c.pages == nil {
+			c.pages = make([]decPageSlot, decPages)
 		}
-		return &c.dense[off]
+		s := &c.pages[off>>decPageShift]
+		if !s.dirty {
+			if s.p == nil {
+				s.p = new(decPage)
+			}
+			s.dirty = true
+			c.touched = append(c.touched, off>>decPageShift)
+			c.hi = max(c.hi, (off>>decPageShift+1)<<decPageShift)
+		}
+		return &s.p[off&(decPageSize-1)]
 	}
 	if c.far == nil {
 		c.far = make(map[uint32]*decEntry)
@@ -75,8 +107,11 @@ func (c *decodeCache) entry(pc uint32) *decEntry {
 // peek returns the slot for pc without allocating, or nil if none exists.
 func (c *decodeCache) peek(pc uint32) *decEntry {
 	if off := pc - decDenseBase; off < decDenseLimit {
-		if off < uint32(len(c.dense)) {
-			return &c.dense[off]
+		if c.pages == nil {
+			return nil
+		}
+		if s := &c.pages[off>>decPageShift]; s.dirty {
+			return &s.p[off&(decPageSize-1)]
 		}
 		return nil
 	}
@@ -95,10 +130,34 @@ func (c *decodeCache) decoded(pc uint32, m *mem.Memory) (de *decEntry, fresh boo
 		if derr != nil {
 			return nil, false, derr
 		}
-		de.inst, de.len = inst, n
+		de.inst, de.len = inst, uint8(n)
 		fresh = true
 	}
 	return de, fresh, nil
+}
+
+// profile returns de's alignment profile, creating it on first use. The
+// pointer is valid until the next profile creation.
+func (c *decodeCache) profile(de *decEntry) *siteProfile {
+	if de.prof == 0 {
+		if n := len(c.free); n > 0 {
+			de.prof = c.free[n-1]
+			c.free = c.free[:n-1]
+		} else {
+			c.profs = append(c.profs, siteProfile{})
+			de.prof = uint32(len(c.profs))
+		}
+	}
+	return &c.profs[de.prof-1]
+}
+
+// dropProf releases de's profile slot for reuse.
+func (c *decodeCache) dropProf(de *decEntry) {
+	if de.prof != 0 {
+		c.profs[de.prof-1] = siteProfile{}
+		c.free = append(c.free, de.prof)
+		de.prof = 0
+	}
 }
 
 // invalidateWrite drops every cached decode a guest store to [addr,
@@ -115,7 +174,7 @@ func (c *decodeCache) invalidateWrite(addr uint64, size int) int {
 	for a := lo; a < addr+uint64(size) && a <= 0xFFFF_FFFF; a++ {
 		if de := c.peek(uint32(a)); de != nil && de.len != 0 {
 			de.len = 0
-			de.prof = nil
+			c.dropProf(de)
 			n++
 		}
 	}
@@ -130,15 +189,15 @@ func (c *decodeCache) mayContain(addr uint64, size int) bool {
 		return true
 	}
 	lo := uint64(decDenseBase)
-	hi := lo + uint64(len(c.dense))
+	hi := lo + uint64(c.hi)
 	return addr+uint64(size) > lo && addr < hi+guest.MaxInstLen
 }
 
 // profAt returns the alignment profile recorded for pc, or nil if the site
 // has never been profiled.
 func (c *decodeCache) profAt(pc uint32) *siteProfile {
-	if de := c.peek(pc); de != nil {
-		return de.prof
+	if de := c.peek(pc); de != nil && de.prof != 0 {
+		return &c.profs[de.prof-1]
 	}
 	return nil
 }
@@ -147,20 +206,23 @@ func (c *decodeCache) profAt(pc uint32) *siteProfile {
 // profiling from scratch, §IV-C).
 func (c *decodeCache) clearProf(pc uint32) {
 	if de := c.peek(pc); de != nil {
-		de.prof = nil
+		c.dropProf(de)
 	}
 }
 
 // forEachProf calls fn for every site with a recorded alignment profile.
 func (c *decodeCache) forEachProf(fn func(pc uint32, p *siteProfile)) {
-	for i := range c.dense {
-		if p := c.dense[i].prof; p != nil {
-			fn(decDenseBase+uint32(i), p)
+	for _, i := range c.touched {
+		pg := c.pages[i].p
+		for j := range pg {
+			if k := pg[j].prof; k != 0 {
+				fn(decDenseBase+i<<decPageShift+uint32(j), &c.profs[k-1])
+			}
 		}
 	}
 	for pc, de := range c.far {
-		if de.prof != nil {
-			fn(pc, de.prof)
+		if de.prof != 0 {
+			fn(pc, &c.profs[de.prof-1])
 		}
 	}
 }

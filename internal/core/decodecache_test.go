@@ -8,7 +8,7 @@ import (
 )
 
 // TestDecodeCacheDenseAndFar exercises both storage tiers of the PC-indexed
-// decode cache: the dense window anchored at guest.CodeBase and the map
+// decode cache: the paged window anchored at guest.CodeBase and the map
 // fallback for out-of-window PCs.
 func TestDecodeCacheDenseAndFar(t *testing.T) {
 	m := mem.New()
@@ -20,13 +20,15 @@ func TestDecodeCacheDenseAndFar(t *testing.T) {
 		t.Fatal(err)
 	}
 	farPC := decDenseBase + decDenseLimit + 0x100
+	lastPC := decDenseBase + decDenseLimit - uint32(len(img)) // last window page
 	m.WriteBytes(guest.CodeBase, img)
+	m.WriteBytes(uint64(lastPC), img)
 	m.WriteBytes(uint64(farPC), img)
 
 	var c decodeCache
 	densePC := uint32(guest.CodeBase)
 
-	for _, pc := range []uint32{densePC, farPC} {
+	for _, pc := range []uint32{densePC, lastPC, farPC} {
 		de, fresh, err := c.decoded(pc, m)
 		if err != nil {
 			t.Fatalf("decoded(%#x): %v", pc, err)
@@ -42,25 +44,92 @@ func TestDecodeCacheDenseAndFar(t *testing.T) {
 			t.Fatalf("decoded(%#x) returned a different or fresh slot on repeat", pc)
 		}
 	}
-	if uint32(len(c.dense)) > decDenseLimit {
-		t.Fatalf("dense window grew to %d entries, past the %d limit", len(c.dense), decDenseLimit)
+	// The dense limit holds: the window has exactly decDenseLimit bytes of
+	// page slots, and only the two touched pages hold an arena.
+	if got := uint32(len(c.pages)) << decPageShift; got != decDenseLimit {
+		t.Fatalf("page window spans %#x bytes, want the %#x limit", got, decDenseLimit)
+	}
+	if n := allocatedDecPages(&c); n != 2 {
+		t.Fatalf("%d decode pages allocated, want 2 (code base and last window page)", n)
 	}
 	if c.far[farPC] == nil {
 		t.Fatalf("far PC %#x not in the map tier", farPC)
 	}
 
-	// peek never allocates: an untouched PC inside the window but past the
-	// grown prefix, and an untouched far PC, both report nil.
-	if de := c.peek(densePC + uint32(len(c.dense))); de != nil {
-		t.Fatal("peek past the grown dense prefix allocated a slot")
+	// peek never allocates: an untouched PC inside the window on a page
+	// never touched, and an untouched far PC, both report nil.
+	if de := c.peek(densePC + decPageSize); de != nil {
+		t.Fatal("peek of an untouched dense page allocated a slot")
+	}
+	if n := allocatedDecPages(&c); n != 2 {
+		t.Fatalf("peek allocated a decode page: %d allocated, want 2", n)
 	}
 	if de := c.peek(farPC + 0x1000); de != nil {
 		t.Fatal("peek of an unseen far PC allocated a slot")
 	}
+
+	// reset keeps the arenas but empties them: the old slots read as
+	// untouched, and a re-decode reuses the same page.
+	page := c.pages[0].p
+	c.reset()
+	if de := c.peek(densePC); de != nil {
+		t.Fatal("peek after reset returned a slot of the previous generation")
+	}
+	if de, fresh, err := c.decoded(densePC, m); err != nil || !fresh || de != &page[0] {
+		t.Fatalf("decoded after reset: fresh=%v err=%v, same page slot=%v", fresh, err, de == &page[0])
+	}
 }
 
-// TestDecodeCacheProfiles covers the fused per-site alignment profiles:
-// lazy creation, profAt/clearProf, and forEachProf across both tiers.
+// allocatedDecPages counts the decode cache's allocated page arenas.
+func allocatedDecPages(c *decodeCache) int {
+	n := 0
+	for _, s := range c.pages {
+		if s.p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDecodeCacheResetReusesPages pins the serve-reuse guarantee at the
+// engine level: a Reset followed by a re-run of the same program allocates
+// no new decode pages — every page the re-run touches is an arena retained
+// from the first run.
+func TestDecodeCacheResetReusesPages(t *testing.T) {
+	img := mdaLoopImg(t, 64)
+	opt := DefaultOptions(DPEH)
+	e := engineFor(t, img, opt)
+	run := func() {
+		t.Helper()
+		mustRun(t, e)
+	}
+	run()
+	before := map[*decPage]bool{}
+	for _, s := range e.dec.pages {
+		if s.p != nil {
+			before[s.p] = true
+		}
+	}
+	if len(before) == 0 {
+		t.Fatal("first run allocated no decode pages")
+	}
+	e.Reset(opt)
+	e.Mem.WriteBytes(guest.CodeBase, img)
+	e.Mem.WriteBytes(guest.DataBase, patternData(256))
+	run()
+	for i, s := range e.dec.pages {
+		if s.p != nil && !before[s.p] {
+			t.Fatalf("re-run after Reset allocated a new decode page for window page %d", i)
+		}
+	}
+	if len(e.dec.touched) != len(before) {
+		t.Fatalf("re-run touched %d pages, first run %d", len(e.dec.touched), len(before))
+	}
+}
+
+// TestDecodeCacheProfiles covers the per-site alignment profiles indexed
+// from decode entries: lazy creation, profAt/clearProf, and forEachProf
+// across both tiers.
 func TestDecodeCacheProfiles(t *testing.T) {
 	m := mem.New()
 	var b guest.Builder
@@ -84,8 +153,8 @@ func TestDecodeCacheProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := de.profile()
-		if p == nil || de.profile() != p {
+		p := c.profile(de)
+		if p == nil || c.profile(de) != p {
 			t.Fatalf("profile() for %#x not stable", pc)
 		}
 		p.mda = 5
@@ -110,7 +179,13 @@ func TestDecodeCacheProfiles(t *testing.T) {
 	if got := c.profAt(densePC); got != nil {
 		t.Fatalf("profAt after clearProf = %p, want nil", got)
 	}
-	if de := c.peek(densePC); de == nil || de.len == 0 {
+	de := c.peek(densePC)
+	if de == nil || de.len == 0 {
 		t.Fatal("clearProf dropped the decoded instruction")
+	}
+	// Profiling restarts from zero in the dropped profile's recycled slot.
+	n := len(c.profs)
+	if p := c.profile(de); p.mda != 0 || p.aligned != 0 || len(c.profs) != n {
+		t.Fatalf("re-created profile = %+v with %d slots, want zero counts in one of %d recycled slots", *p, len(c.profs), n)
 	}
 }

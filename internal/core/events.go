@@ -114,7 +114,9 @@ func (e *Engine) Events() ([]Event, uint64) {
 	return out, l.dropped
 }
 
-// event records one event (no-op when the log is disabled).
+// event records one event (no-op when the log is disabled). Callers whose
+// detail needs formatting test e.events first, so a disabled log costs no
+// string building on the translate, trap and patch paths.
 func (e *Engine) event(kind EventKind, guestPC uint32, hostPC uint64, detail string) {
 	l := e.events
 	if l == nil {

@@ -81,10 +81,10 @@ func (e *Engine) decoded(pc uint32) (*decEntry, error) {
 		return nil, err
 	}
 	if fresh {
-		e.watchCode(pc, de.len)
+		e.watchCode(pc, int(de.len))
 	}
 	if e.Mem.Armed() {
-		if mf := e.Mem.CheckFetch(uint64(pc), de.len); mf != nil {
+		if mf := e.Mem.CheckFetch(uint64(pc), int(de.len)); mf != nil {
 			return nil, &guest.Fault{PC: pc, Mem: *mf}
 		}
 	}

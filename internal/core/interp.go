@@ -19,7 +19,7 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: interpret at %#x: %w", cur, err)
 		}
-		info, err := e.CPU.Exec(e.Mem, cur, &de.inst, de.len)
+		info, err := e.CPU.Exec(e.Mem, cur, &de.inst, int(de.len))
 		if err != nil {
 			return 0, err
 		}
@@ -38,7 +38,7 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 			}
 		}
 		if info.IsMem && info.Size > 1 {
-			s := de.profile()
+			s := e.dec.profile(de)
 			if info.MDA {
 				s.mda++
 				e.stats.InterpretedMDAs++
@@ -47,7 +47,7 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 			}
 		}
 		if info.IsMem2 {
-			s := de.profile()
+			s := e.dec.profile(de)
 			if info.MDA2 {
 				s.mda++
 				e.stats.InterpretedMDAs++
@@ -147,8 +147,9 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 	cpu := &guest.CPU{}
 	cpu.Reset(entry)
 	c := &Census{Sites: make(map[uint32]*CensusSite)}
-	// Per-site counts accumulate in the decode-cache entries (no map hit per
-	// memory reference); the Sites map is materialized once at the end.
+	// Per-site counts accumulate in the decode cache's profile side table
+	// (no map hit per memory reference); the Sites map is materialized once
+	// at the end.
 	var dec decodeCache
 	finish := func(err error) (*Census, error) {
 		dec.forEachProf(func(pc uint32, p *siteProfile) {
@@ -165,11 +166,11 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 			return nil, fmt.Errorf("core: census at %#x: %w", pc, err)
 		}
 		if m.Armed() {
-			if f := m.CheckFetch(uint64(pc), de.len); f != nil {
+			if f := m.CheckFetch(uint64(pc), int(de.len)); f != nil {
 				return finish(&guest.Fault{PC: pc, Mem: *f})
 			}
 		}
-		info, err := cpu.Exec(m, pc, &de.inst, de.len)
+		info, err := cpu.Exec(m, pc, &de.inst, int(de.len))
 		if err != nil {
 			return finish(err)
 		}
@@ -185,7 +186,7 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 		if info.IsMem {
 			c.MemRefs++
 			if info.Size > 1 {
-				s := de.profile()
+				s := dec.profile(de)
 				if info.MDA {
 					s.mda++
 					c.MDAs++
@@ -197,7 +198,7 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 		if info.IsMem2 {
 			c.MemRefs++
 			if info.Size2 > 1 {
-				s := de.profile()
+				s := dec.profile(de)
 				if info.MDA2 {
 					s.mda++
 					c.MDAs++

@@ -158,16 +158,29 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 
-	// Exit table: ids index their own slots; a linked exit's target must be
-	// a live translation (invalidation unlinks incoming exits).
+	// Exit table: ids index their own slots; every exit belongs to a live or
+	// invalidated block — never to the orphan of an emission that failed
+	// (translate rolls those back); a linked exit's target must be a live
+	// translation (invalidation unlinks incoming exits).
 	for i, ex := range e.exits {
 		if int(ex.id) != i {
 			return fmt.Errorf("core: invariant: exit %d carries id %d", i, ex.id)
+		}
+		if !e.registered(ex.from) {
+			return fmt.Errorf("core: invariant: exit %d belongs to an orphan block (neither live nor invalidated)", i)
 		}
 		if ex.linked {
 			if _, ok := e.blocks[ex.targetGuest]; !ok {
 				return fmt.Errorf("core: invariant: exit %d linked to untranslated guest %#x", i, ex.targetGuest)
 			}
+		}
+	}
+
+	// Adaptive-site table: every payload names a live or invalidated block
+	// (adaptive records outlive flushes, whose blocks are all invalidated).
+	for i, ar := range e.adaptives {
+		if !e.registered(ar.b) {
+			return fmt.Errorf("core: invariant: adaptive site %d belongs to an orphan block (neither live nor invalidated)", i)
 		}
 	}
 
@@ -260,6 +273,12 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// registered reports whether b is a translation the engine ever installed:
+// live in the block map, or invalidated since.
+func (e *Engine) registered(b *block) bool {
+	return b != nil && (b.invalid || e.blocks[b.guestPC] == b)
 }
 
 // selfCheck runs CheckInvariants after a structural mutation when

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mdabt/internal/faultinject"
 	"mdabt/internal/guest"
 )
 
@@ -99,6 +101,23 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			want: "exit 0 carries id",
 		},
 		{
+			name: "exit of an orphan block",
+			corrupt: func(t *testing.T, e *Engine) {
+				if len(e.exits) == 0 {
+					t.Skip("no exits")
+				}
+				e.exits[0].from = &block{guestPC: e.exits[0].from.guestPC}
+			},
+			want: "exit 0 belongs to an orphan block",
+		},
+		{
+			name: "adaptive site of an orphan block",
+			corrupt: func(t *testing.T, e *Engine) {
+				e.newAdaptive(&block{guestPC: anyBlock(e).guestPC}, 0, counterBase)
+			},
+			want: "adaptive site 0 belongs to an orphan block",
+		},
+		{
 			name: "ibtc mirror diverges from memory",
 			corrupt: func(t *testing.T, e *Engine) {
 				for i := range e.ibtc {
@@ -179,5 +198,63 @@ func TestSelfCheckLatchesIntoRun(t *testing.T) {
 	if err := e.Run(uint32(guest.CodeBase), 1_000_000); err == nil ||
 		!strings.Contains(err.Error(), "block map key") {
 		t.Fatalf("Run = %v, want latched invariant error", err)
+	}
+}
+
+// TestAllocBlockFaultsLeaveNoOrphans drives translation through injected
+// code-cache allocation failures with self-checking on. Emission records
+// exits and adaptive sites before the block is allocated, so every failed
+// allocation must roll them back: afterwards exit IDs stay dense, every
+// exit and adaptive record names a live or invalidated block, the adaptive
+// statistic matches the adaptive table, and the guest result equals the
+// reference interpreter's.
+func TestAllocBlockFaultsLeaveNoOrphans(t *testing.T) {
+	data := patternData(256)
+	adaptive := DefaultOptions(DPEH)
+	adaptive.HeatThreshold = 5
+	adaptive.Adaptive = true
+	adaptive.AdaptiveStreak = 50
+	rearrange := adaptive
+	rearrange.Rearrange = true
+	configs := []struct {
+		name string
+		img  []byte
+		opt  Options
+	}{
+		{"dpeh-adaptive", realignImg(t, 200, 3000), adaptive},
+		// Rearrangement translates straight from the trap handler, with no
+		// flush between a failed allocation and the engine's next use of
+		// its exit table.
+		{"dpeh-adaptive-rearrange", realignImg(t, 200, 3000), rearrange},
+		{"dpeh-adaptive-random", randomProgram(t, 5), adaptive},
+		{"aot", randomProgram(t, 5), DefaultOptions(AOT)},
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			refCPU, refArena := reference(t, c.img, data)
+			for seed := int64(1); seed <= 4; seed++ {
+				plan := faultinject.New(seed).Rate(faultinject.AllocBlock, 0.25).At(faultinject.AllocBlock, 1, 3)
+				opt := c.opt
+				opt.FaultPlan = plan
+				opt.SelfCheck = true
+				gotCPU, gotArena, e := runDBT(t, c.img, data, opt)
+				label := fmt.Sprintf("%s/seed=%d", c.name, seed)
+				compareState(t, label, refCPU, gotCPU, refArena, gotArena)
+				if plan.Fired(faultinject.AllocBlock) == 0 {
+					t.Fatalf("%s: no allocation failure injected", label)
+				}
+				if err := e.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i, ex := range e.exits {
+					if int(ex.id) != i {
+						t.Fatalf("%s: exit %d carries id %d: exit IDs not dense", label, i, ex.id)
+					}
+				}
+				if got, want := e.Stats().AdaptiveSites, uint64(len(e.adaptives)); got != want {
+					t.Fatalf("%s: Stats.AdaptiveSites = %d, adaptive table holds %d", label, got, want)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mdabt/internal/align"
 	"mdabt/internal/faultinject"
@@ -44,18 +45,20 @@ func (p sitePolicy) String() string {
 	return "policy?"
 }
 
-// decodeBlock decodes the basic block starting at pc from guest memory,
-// through the engine's PC-indexed decode cache (translations and the
-// interpreter share decoded instructions).
-func (e *Engine) decodeBlock(pc uint32) (insts []guest.Inst, lens []int, pcs []uint32, err error) {
+// decodeBlock appends the basic block starting at pc to insts, lens and
+// pcs, decoding through the engine's PC-indexed decode cache (translations
+// and the interpreter share decoded instructions). The translator passes
+// its reusable scratch buffers, so decoding a unit allocates nothing.
+func (e *Engine) decodeBlock(pc uint32, insts []guest.Inst, lens []int, pcs []uint32) ([]guest.Inst, []int, []uint32, error) {
+	n0 := len(insts)
 	cur := pc
-	for len(insts) < maxBlockInsts {
+	for len(insts)-n0 < maxBlockInsts {
 		de, derr := e.decoded(cur)
 		if derr != nil {
 			return nil, nil, nil, fmt.Errorf("core: decode block at %#x: %w", cur, derr)
 		}
 		insts = append(insts, de.inst)
-		lens = append(lens, de.len)
+		lens = append(lens, int(de.len))
 		pcs = append(pcs, cur)
 		cur += uint32(de.len)
 		if de.inst.Op.EndsBlock() {
@@ -65,7 +68,7 @@ func (e *Engine) decodeBlock(pc uint32) (insts []guest.Inst, lens []int, pcs []u
 	// When splitting an over-long straight-line run, never separate a
 	// flag-setting instruction from the conditional branch that consumes
 	// it: push the flag setter into the next block.
-	if n := len(insts); n == maxBlockInsts && insts[n-1].Op.SetsFlags() {
+	if n := len(insts); n-n0 == maxBlockInsts && insts[n-1].Op.SetsFlags() {
 		insts = insts[:n-1]
 		lens = lens[:n-1]
 		pcs = pcs[:n-1]
@@ -145,11 +148,14 @@ type traceEdge struct {
 
 // sideExit is a deferred cold-path exit stub emitted after the trace body.
 type sideExit struct {
-	label  string
+	label  host.Label
 	target uint32
 }
 
-// emitter translates one translation unit's body into host code.
+// emitter translates one translation unit's body into host code. It emits
+// once, directly at the address the unit will occupy, recording the unit's
+// memory sites, exits, adaptive sites and attribution bounds as it goes
+// (see translate for the rollback rule when the unit then does not fit).
 type emitter struct {
 	e         *Engine
 	a         *host.Asm
@@ -158,56 +164,47 @@ type emitter struct {
 	counters  map[int]uint64    // inst index -> adaptive streak counter address
 	edges     map[int]traceEdge // trace-internal terminators
 	sideExits []sideExit
+	bounds    []instBound // attribution bounds, copied out to block.bounds
 	// mvActive/mvPolicy replace polMixed while emitting one copy of a
 	// block-granularity multi-version body (polPlain in the optimistic
 	// copy, polSeq in the pessimistic one).
 	mvActive bool
 	mvPolicy sitePolicy
-	record   bool // second pass: record sites and exits
 	flags    flagState
-	nlabel   int
-}
-
-func (em *emitter) label(prefix string) string {
-	em.nlabel++
-	return fmt.Sprintf("%s_%d", prefix, em.nlabel)
 }
 
 // siteFor returns the memSite for inst index idx (sub-access sub: string
-// copies have a load site 0 and a store site 1), creating it on the
-// recording pass.
+// copies have a load site 0 and a store site 1), creating it on first use.
 func (em *emitter) siteFor(idx, sub int, pc uint32, k memKind) *memSite {
-	if !em.record {
-		return nil
-	}
 	for _, s := range em.b.sites {
 		if s.instIdx == idx && s.sub == sub {
 			return s
 		}
 	}
 	s := &memSite{
-		instIdx: idx, sub: sub, guestPC: pc, size: k.size(), isStore: k.isStore(),
-		kind: k, patched: make(map[uint64]bool),
+		instIdx: idx, sub: sub, guestPC: pc, size: k.size(), isStore: k.isStore(), kind: k,
 	}
 	em.b.sites = append(em.b.sites, s)
 	return s
 }
 
-// markAligned records, on the recording pass, that the host memory op at
-// pc was emitted under a proven-aligned claim (static verdict or
-// BT-internal data at a constructed-aligned address).
+// markAligned records that the host memory op at pc was emitted under a
+// proven-aligned claim (static verdict or BT-internal data at a
+// constructed-aligned address).
 func (em *emitter) markAligned(pc uint64) {
-	if em.record {
-		em.b.alignedPCs[pc] = true
+	if em.b.alignedPCs == nil {
+		em.b.alignedPCs = make(map[uint64]bool)
 	}
+	em.b.alignedPCs[pc] = true
 }
 
-// markGuarded records, on the recording pass, a plain memory op inside an
-// alignment-guarded arm (unreachable when the address misaligns).
+// markGuarded records a plain memory op inside an alignment-guarded arm
+// (unreachable when the address misaligns).
 func (em *emitter) markGuarded(pc uint64) {
-	if em.record {
-		em.b.guardedPCs[pc] = true
+	if em.b.guardedPCs == nil {
+		em.b.guardedPCs = make(map[uint64]bool)
 	}
+	em.b.guardedPCs[pc] = true
 }
 
 // addressing resolves a guest memory operand to (hostBase, disp) with
@@ -261,8 +258,7 @@ func (em *emitter) memAccessSub(idx, sub int, pc uint32, k memKind, data host.Re
 	// misaligned stream inlines the MDA sequence eagerly. Stream-level
 	// interception refines the instruction-level policy override in
 	// sitePolicies for string copies whose two streams classified
-	// differently. Verdicts are fixed at translation time, so both
-	// emission passes agree (length invariance).
+	// differently.
 	if em.e.Opt.StaticAlign {
 		switch em.e.alignDB.Verdict(pc, sub) {
 		case align.Aligned:
@@ -293,22 +289,18 @@ func (em *emitter) memAccessSub(idx, sub int, pc uint32, k memKind, data host.Re
 		// address and run either the plain instruction or the MDA sequence.
 		// The plain arm can never trap, so sometimes-aligned sites pay the
 		// short check instead of either traps or a constant sequence.
-		seq := em.label("mda")
-		join := em.label("join")
 		a := em.a
+		seq, join := a.NewLabel(), a.NewLabel()
 		a.Mem(host.LDA, tmpCond, disp, base)
 		a.OprLit(host.AND, tmpCond, uint8(k.size()-1), tmpCond)
-		a.Br(host.BNE, tmpCond, seq)
+		a.BrLabel(host.BNE, tmpCond, seq)
 		em.markGuarded(emitPlain(a, k, data, base, disp))
-		a.Br(host.BR, host.Zero, join)
-		a.Label(seq)
+		a.BrLabel(host.BR, host.Zero, join)
+		a.Bind(seq)
 		emitMDA(a, k, data, base, disp)
-		a.Label(join)
+		a.Bind(join)
 	default:
-		memPC := emitPlain(em.a, k, data, base, disp)
-		if site != nil {
-			site.hostPCs = append(site.hostPCs, memPC)
-		}
+		site.hostPCs = append(site.hostPCs, emitPlain(em.a, k, data, base, disp))
 	}
 }
 
@@ -320,12 +312,10 @@ func (em *emitter) memAccessSub(idx, sub int, pc uint32, k memKind, data host.Re
 func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.Reg, disp int32) {
 	a := em.a
 	ctr := em.counters[idx]
-	mda := em.label("amda")
-	aligned := em.label("aok")
-	end := em.label("aend")
+	mda, aligned, end := a.NewLabel(), a.NewLabel(), a.NewLabel()
 	a.Mem(host.LDA, tmpEA, disp, base)
 	a.OprLit(host.AND, tmpEA, uint8(k.size()-1), tmpCond)
-	a.Br(host.BNE, tmpCond, mda)
+	a.BrLabel(host.BNE, tmpCond, mda)
 	// Aligned: bump the streak counter. The counter lives in tmpC/tmpD
 	// (MDA scratch): data may be tmpImm (a CALL's pushed return address)
 	// or tmpIndirect (a RET's target) and must survive until the arms.
@@ -338,26 +328,19 @@ func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.R
 	em.markAligned(a.PC())
 	a.Mem(host.STL, tmpD, 0, tmpC)
 	a.OprLit(host.CMPLT, tmpD, em.e.Opt.AdaptiveStreak, tmpCond)
-	a.Br(host.BNE, tmpCond, aligned)
+	a.BrLabel(host.BNE, tmpCond, aligned)
 	// Streak exhausted: ask the BT monitor to revert this site.
-	if em.record {
-		id := em.e.newAdaptive(em.b, idx, ctr)
-		a.Brk(svcAdaptiveFlag | id)
-	} else {
-		a.Brk(svcAdaptiveFlag)
-	}
-	a.Label(aligned)
+	a.Brk(svcAdaptiveFlag | em.e.newAdaptive(em.b, idx, ctr))
+	a.Bind(aligned)
 	em.markGuarded(emitPlain(a, k, data, base, disp)) // guarded: cannot trap
-	a.Br(host.BR, host.Zero, end)
-	a.Label(mda)
+	a.BrLabel(host.BR, host.Zero, end)
+	a.Bind(mda)
 	a.MovImm(tmpC, int64(ctr))
 	em.markAligned(a.PC())
 	a.Mem(host.STL, host.Zero, 0, tmpC) // reset the streak
 	emitMDA(a, k, data, base, disp)
-	a.Label(end)
-	if em.record {
-		em.e.stats.AdaptiveSites++
-	}
+	a.Bind(end)
+	em.e.stats.AdaptiveSites++
 }
 
 // stackAccess emits a 4-byte stack slot access through ESP (PUSH/POP/
@@ -368,17 +351,13 @@ func (em *emitter) stackAccess(idx int, pc uint32, k memKind, data host.Reg) {
 
 // exitTo emits a patchable exit stub to a static guest target.
 func (em *emitter) exitTo(target uint32) {
-	if em.record {
-		ex := em.e.newExit(em.b, target, em.a.PC())
-		em.a.Brk(svcExitBase + ex.id)
-		return
-	}
-	em.a.Brk(svcExitBase) // placeholder: identical length
+	ex := em.e.newExit(em.b, target, em.a.PC())
+	em.a.Brk(svcExitBase + ex.id)
 }
 
 // condBranch materializes the pending flags for cond and emits a host
 // branch to label when the condition holds.
-func (em *emitter) condBranch(cond guest.Cond, label string) error {
+func (em *emitter) condBranch(cond guest.Cond, label host.Label) error {
 	f := em.flags
 	switch f.kind {
 	case flagNone:
@@ -411,38 +390,50 @@ func (em *emitter) cmpWith(op host.Op, f flagState, dst host.Reg) {
 	em.a.Opr(op, hostGPR(f.a), rb, dst)
 }
 
+// cmpPlan returns the host compare and the branch on its result that
+// implement cond after CMP a, b; ok is false for the sign conditions.
+func cmpPlan(cond guest.Cond) (cmp, branch host.Op, ok bool) {
+	switch cond {
+	case guest.E:
+		return host.CMPEQ, host.BNE, true
+	case guest.NE:
+		return host.CMPEQ, host.BEQ, true
+	case guest.L:
+		return host.CMPLT, host.BNE, true
+	case guest.LE:
+		return host.CMPLE, host.BNE, true
+	case guest.G:
+		return host.CMPLE, host.BEQ, true
+	case guest.GE:
+		return host.CMPLT, host.BEQ, true
+	case guest.B:
+		return host.CMPULT, host.BNE, true
+	case guest.BE:
+		return host.CMPULE, host.BNE, true
+	case guest.A:
+		return host.CMPULE, host.BEQ, true
+	case guest.AE:
+		return host.CMPULT, host.BEQ, true
+	}
+	return 0, 0, false
+}
+
 // cmpBranch handles conditions after CMP a, b: compare host ops on the
 // sign-extended 64-bit register images preserve both signed and unsigned
 // 32-bit ordering.
-func (em *emitter) cmpBranch(cond guest.Cond, f flagState, label string) error {
-	type plan struct {
-		op     host.Op
-		branch host.Op
-	}
-	plans := map[guest.Cond]plan{
-		guest.E:  {host.CMPEQ, host.BNE},
-		guest.NE: {host.CMPEQ, host.BEQ},
-		guest.L:  {host.CMPLT, host.BNE},
-		guest.LE: {host.CMPLE, host.BNE},
-		guest.G:  {host.CMPLE, host.BEQ},
-		guest.GE: {host.CMPLT, host.BEQ},
-		guest.B:  {host.CMPULT, host.BNE},
-		guest.BE: {host.CMPULE, host.BNE},
-		guest.A:  {host.CMPULE, host.BEQ},
-		guest.AE: {host.CMPULT, host.BEQ},
-	}
-	if p, ok := plans[cond]; ok {
-		em.cmpWith(p.op, f, tmpCond)
-		em.a.Br(p.branch, tmpCond, label)
+func (em *emitter) cmpBranch(cond guest.Cond, f flagState, label host.Label) error {
+	if cmp, branch, ok := cmpPlan(cond); ok {
+		em.cmpWith(cmp, f, tmpCond)
+		em.a.BrLabel(branch, tmpCond, label)
 		return nil
 	}
 	// S/NS test the sign of a-b.
 	em.cmpWith(host.SUBL, f, tmpCond)
 	switch cond {
 	case guest.S:
-		em.a.Br(host.BLT, tmpCond, label)
+		em.a.BrLabel(host.BLT, tmpCond, label)
 	case guest.NS:
-		em.a.Br(host.BGE, tmpCond, label)
+		em.a.BrLabel(host.BGE, tmpCond, label)
 	default:
 		return fmt.Errorf("core: unsupported condition %v after cmp", cond)
 	}
@@ -452,35 +443,35 @@ func (em *emitter) cmpBranch(cond guest.Cond, f flagState, label string) error {
 // zeroBranch handles conditions against a result value (flags from TEST or
 // an ALU result): CF/OF are zero, so the condition reduces to a comparison
 // of the 32-bit result with zero. afterTest permits the relational forms.
-func (em *emitter) zeroBranch(cond guest.Cond, r host.Reg, label string, afterTest bool) error {
+func (em *emitter) zeroBranch(cond guest.Cond, r host.Reg, label host.Label, afterTest bool) error {
 	switch cond {
 	case guest.E:
-		em.a.Br(host.BEQ, r, label)
+		em.a.BrLabel(host.BEQ, r, label)
 	case guest.NE:
-		em.a.Br(host.BNE, r, label)
+		em.a.BrLabel(host.BNE, r, label)
 	case guest.S:
-		em.a.Br(host.BLT, r, label)
+		em.a.BrLabel(host.BLT, r, label)
 	case guest.NS:
-		em.a.Br(host.BGE, r, label)
+		em.a.BrLabel(host.BGE, r, label)
 	default:
 		if !afterTest {
 			return fmt.Errorf("core: unsupported condition %v on ALU result flags", cond)
 		}
 		switch cond {
 		case guest.L: // OF=0 ⇒ SF
-			em.a.Br(host.BLT, r, label)
+			em.a.BrLabel(host.BLT, r, label)
 		case guest.GE:
-			em.a.Br(host.BGE, r, label)
+			em.a.BrLabel(host.BGE, r, label)
 		case guest.LE: // ZF || SF
-			em.a.Br(host.BLE, r, label)
+			em.a.BrLabel(host.BLE, r, label)
 		case guest.G:
-			em.a.Br(host.BGT, r, label)
+			em.a.BrLabel(host.BGT, r, label)
 		case guest.BE: // CF=0 ⇒ ZF
-			em.a.Br(host.BEQ, r, label)
+			em.a.BrLabel(host.BEQ, r, label)
 		case guest.A:
-			em.a.Br(host.BNE, r, label)
+			em.a.BrLabel(host.BNE, r, label)
 		case guest.AE: // always
-			em.a.Br(host.BR, host.Zero, label)
+			em.a.BrLabel(host.BR, host.Zero, label)
 		case guest.B: // never taken: no branch
 		default:
 			return fmt.Errorf("core: unsupported condition %v after test", cond)
@@ -612,17 +603,16 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 		// ecx-- }. The load and store are independent, policy-controlled
 		// memory sites — exactly where libc-style memcpy misalignment lands.
 		ecx, esi, edi := hostGPR(guest.ECX), hostGPR(guest.ESI), hostGPR(guest.EDI)
-		top := em.label("rep")
-		done := em.label("repdone")
-		a.Label(top)
-		a.Br(host.BEQ, ecx, done)
+		top, done := a.NewLabel(), a.NewLabel()
+		a.Bind(top)
+		a.BrLabel(host.BEQ, ecx, done)
 		em.memAccessSub(idx, 0, pc, kindLD4, tmpImm, guest.MemRef{Base: guest.ESI})
 		em.memAccessSub(idx, 1, pc, kindST4, tmpImm, guest.MemRef{Base: guest.EDI})
 		a.Mem(host.LDA, esi, 4, esi)
 		a.Mem(host.LDA, edi, 4, edi)
 		a.OprLit(host.SUBL, ecx, 1, ecx)
-		a.Br(host.BR, host.Zero, top)
-		a.Label(done)
+		a.BrLabel(host.BR, host.Zero, top)
+		a.Bind(done)
 		em.flags.note(guest.ECX)
 		em.flags.note(guest.ESI)
 		em.flags.note(guest.EDI)
@@ -640,19 +630,19 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 			if edge.invert {
 				cond = cond.Inverse()
 			}
-			side := em.label("side")
+			side := a.NewLabel()
 			if err := em.condBranch(cond, side); err != nil {
 				return err
 			}
 			em.sideExits = append(em.sideExits, sideExit{label: side, target: edge.sideTarget})
 			break
 		}
-		taken := em.label("taken")
+		taken := a.NewLabel()
 		if err := em.condBranch(in.Cond, taken); err != nil {
 			return err
 		}
 		em.exitTo(nextPC) // fallthrough
-		a.Label(taken)
+		a.Bind(taken)
 		em.exitTo(nextPC + uint32(in.Rel))
 	case guest.CALL:
 		esp := hostGPR(guest.ESP)
@@ -668,7 +658,7 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 			// Inline indirect-branch translation cache probe: on a tag hit
 			// jump straight to the cached host entry, otherwise fall back
 			// to the monitor (which fills the entry).
-			miss := em.label("ibtcmiss")
+			miss := a.NewLabel()
 			a.OprLit(host.SRL, tmpIndirect, ibtcShift, tmpA)
 			a.OprLit(host.AND, tmpA, ibtcEntries-1, tmpA)
 			a.OprLit(host.SLL, tmpA, 4, tmpA)
@@ -678,11 +668,11 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 			em.markAligned(a.PC())
 			a.Mem(host.LDQ, tmpB, 0, tmpA) // cached guest tag
 			a.Opr(host.CMPEQ, tmpB, tmpIndirect, tmpCond)
-			a.Br(host.BEQ, tmpCond, miss)
+			a.BrLabel(host.BEQ, tmpCond, miss)
 			em.markAligned(a.PC())
 			a.Mem(host.LDQ, tmpB, 8, tmpA) // cached host entry
 			a.Jmp(host.JMP, host.Zero, tmpB)
-			a.Label(miss)
+			a.Bind(miss)
 		}
 		a.Brk(svcIndirect)
 	case guest.PUSH:
@@ -701,17 +691,14 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 	return nil
 }
 
-// emitRange emits the instructions in [from, to). On the recording pass it
-// also records each instruction's host start address (block.bounds) for
-// fault attribution — pure metadata, so both passes stay length-invariant.
+// emitRange emits the instructions in [from, to), recording each
+// instruction's host start address (block.bounds) for fault attribution.
 func (em *emitter) emitRange(from, to int) error {
 	b := em.b
 	for idx := from; idx < to; idx++ {
 		pc := b.instPCs[idx]
 		next := pc + uint32(b.instLens[idx])
-		if em.record {
-			b.bounds = append(b.bounds, instBound{hostPC: em.a.PC(), idx: idx})
-		}
+		em.bounds = append(em.bounds, instBound{hostPC: em.a.PC(), idx: idx})
 		if err := em.inst(idx, pc, next); err != nil {
 			return err
 		}
@@ -767,10 +754,10 @@ func (em *emitter) body() error {
 			m = guest.MemRef{Base: guest.ESP}
 		}
 		base, disp := em.addressing(m, k.size())
-		v2 := em.label("mv2")
+		v2 := em.a.NewLabel()
 		em.a.Mem(host.LDA, tmpCond, disp, base)
 		em.a.OprLit(host.AND, tmpCond, uint8(k.size()-1), tmpCond)
-		em.a.Br(host.BNE, tmpCond, v2)
+		em.a.BrLabel(host.BNE, tmpCond, v2)
 		savedFlags := em.flags
 		// Optimistic copy: mixed sites as plain operations. The guard only
 		// checked the first site, so the others may still trap — the
@@ -781,7 +768,7 @@ func (em *emitter) body() error {
 		}
 		em.syntheticExit()
 		// Pessimistic copy: mixed sites as MDA sequences.
-		em.a.Label(v2)
+		em.a.Bind(v2)
 		em.flags = savedFlags
 		em.mvPolicy = polSeq
 		if err := em.emitRange(split, len(b.insts)); err != nil {
@@ -792,7 +779,7 @@ func (em *emitter) body() error {
 	}
 	// Deferred trace side exits.
 	for _, se := range em.sideExits {
-		em.a.Label(se.label)
+		em.a.Bind(se.label)
 		em.exitTo(se.target)
 	}
 	return nil
@@ -819,7 +806,7 @@ func fromPolicy(p policy.SitePolicy) sitePolicy {
 // verdicts and mixed-site set for the emitter; everything mechanism-
 // specific lives behind the policy seam.
 func (e *Engine) sitePolicies(b *block) (map[int]sitePolicy, bool) {
-	pol := make(map[int]sitePolicy)
+	var pol map[int]sitePolicy
 	for idx, in := range b.insts {
 		instPC := b.instPCs[idx]
 		if _, isMem := guestKind(in.Op); !isMem {
@@ -842,6 +829,9 @@ func (e *Engine) sitePolicies(b *block) (map[int]sitePolicy, bool) {
 			// Unknown (and mixed-stream) sites keep the base mechanism's
 			// decision; memAccessSub further refines per access stream.
 			ctx.AlignVerdict = e.alignDB.InstVerdict(instPC, in.Op)
+			if b.averdict == nil {
+				b.averdict = make(map[int]align.Verdict)
+			}
 			b.averdict[idx] = ctx.AlignVerdict
 			switch ctx.AlignVerdict {
 			case align.Aligned:
@@ -853,12 +843,31 @@ func (e *Engine) sitePolicies(b *block) (map[int]sitePolicy, bool) {
 			}
 		}
 		p := fromPolicy(e.mech.SitePolicy(ctx))
+		if pol == nil {
+			pol = make(map[int]sitePolicy)
+		}
 		pol[idx] = p
 		if p == polMixed {
+			if b.mixed == nil {
+				b.mixed = make(map[int]bool)
+			}
 			b.mixed[idx] = true
 		}
 	}
 	return pol, len(b.mixed) > 0
+}
+
+// translateScratch is the translator's reusable working storage: the
+// decoded unit (at most a full trace plus the block that would overflow
+// it), the emitter with its assembler, and the emitter's side-exit and
+// attribution-bound buffers. Blocks keep exact-size copies, so the scratch
+// is free again as soon as translate returns.
+type translateScratch struct {
+	insts []guest.Inst
+	lens  []int
+	pcs   []uint32
+	asm   host.Asm
+	em    emitter
 }
 
 // translate translates the unit at guest pc — a basic block, or a trace of
@@ -869,11 +878,18 @@ func (e *Engine) translate(pc uint32) (*block, error) {
 	if e.Opt.FaultPlan.Should(faultinject.Translate) {
 		return nil, errInjectedTranslate
 	}
-	insts, lens, pcs, err := e.decodeBlock(pc)
+	tr := &e.tr
+	if tr.insts == nil {
+		const maxUnit = maxTraceInsts + maxBlockInsts
+		tr.insts = make([]guest.Inst, 0, maxUnit)
+		tr.lens = make([]int, 0, maxUnit)
+		tr.pcs = make([]uint32, 0, maxUnit)
+	}
+	insts, lens, pcs, err := e.decodeBlock(pc, tr.insts[:0], tr.lens[:0], tr.pcs[:0])
 	if err != nil {
 		return nil, err
 	}
-	edges := map[int]traceEdge{}
+	var edges map[int]traceEdge
 	nblocks := 1
 	if e.Opt.Superblocks {
 		switch {
@@ -889,72 +905,78 @@ func (e *Engine) translate(pc uint32) (*block, error) {
 		}
 	}
 	b := &block{
-		guestPC:    pc,
-		insts:      insts,
-		instLens:   lens,
-		instPCs:    pcs,
-		nblocks:    nblocks,
-		knownMDA:   make(map[int]bool),
-		mixed:      make(map[int]bool),
-		averdict:   make(map[int]align.Verdict),
-		alignedPCs: make(map[uint64]bool),
-		guardedPCs: make(map[uint64]bool),
+		guestPC:  pc,
+		insts:    slices.Clone(insts),
+		instLens: slices.Clone(lens),
+		instPCs:  slices.Clone(pcs),
+		nblocks:  nblocks,
 	}
 	for _, n := range lens {
 		b.guestLen += uint32(n)
 	}
 	// Retranslations inherit the accumulated trap-discovered MDA sites
 	// (§IV-C) so the new code inlines their sequences.
-	for idx := range e.retainedMDA[pc] {
-		b.knownMDA[idx] = true
+	if r := e.retainedMDA[pc]; len(r) > 0 {
+		b.knownMDA = make(map[int]bool, len(r))
+		for idx := range r {
+			b.knownMDA[idx] = true
+		}
 	}
 	policy, anyMixed := e.sitePolicies(b)
 	b.sitePol = policy
 	b.twoVer = anyMixed
 
-	// Adaptive sites need streak counters at addresses known to both
-	// emission passes.
-	counters := make(map[int]uint64)
+	// Adaptive sites need their streak counters before emission.
+	var counters map[int]uint64
 	for idx := range b.insts {
 		if policy[idx] == polAdaptive {
+			if counters == nil {
+				counters = make(map[int]uint64)
+			}
 			counters[idx] = e.allocCounter()
 		}
 	}
 
-	emit := func(base uint64, record bool) (*host.Asm, error) {
-		a := host.NewAsm(base)
-		em := &emitter{e: e, a: a, b: b, policy: policy, counters: counters, edges: edges, record: record}
-		if err := em.body(); err != nil {
-			return nil, err
-		}
-		return a, nil
+	// Emit once, at the code cache's bump pointer: the address allocBlock
+	// hands out next. The emission records sites, exits and adaptive sites
+	// as it goes; if the unit then fails — an emission error, or a full
+	// cache — everything it appended to engine tables is rolled back, so
+	// exit and adaptive IDs stay dense and no table names an orphan block.
+	nExits, nAdaptives, nAdaptiveSites := len(e.exits), len(e.adaptives), e.stats.AdaptiveSites
+	rollback := func() {
+		clear(e.exits[nExits:])
+		e.exits = e.exits[:nExits]
+		clear(e.adaptives[nAdaptives:])
+		e.adaptives = e.adaptives[:nAdaptives]
+		e.stats.AdaptiveSites = nAdaptiveSites
 	}
-
-	// Pass 1: measure. All emission paths produce length-invariant code for
-	// the same inputs, so the sizing pass is exact.
-	probe, err := emit(0, false)
+	base := e.cc.blockNext
+	a := &tr.asm
+	a.Reset(base)
+	em := &tr.em
+	*em = emitter{e: e, a: a, b: b, policy: policy, counters: counters, edges: edges,
+		sideExits: em.sideExits[:0], bounds: em.bounds[:0]}
+	err = em.body()
+	var words []uint32
+	if err == nil {
+		words, err = a.Finish()
+	}
 	if err != nil {
+		rollback()
 		return nil, err
 	}
-	size := uint64(probe.Len()) * host.InstBytes
+	size := uint64(len(words)) * host.InstBytes
 	addr, err := e.cc.allocBlock(size)
-	if err != nil {
-		return nil, err // engine flushes and retries
+	if err == nil && addr != base {
+		err = fmt.Errorf("core: translate %#x: emitted at %#x but allocated %#x", pc, base, addr)
 	}
-	// Pass 2: emit for real, recording sites and exits.
+	if err != nil {
+		rollback()
+		return nil, err // errCodeCacheFull: the engine flushes and retries
+	}
 	b.hostEntry = addr
 	b.hostSize = size
-	a, err := emit(addr, true)
-	if err != nil {
-		return nil, err
-	}
-	words, err := a.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(words))*host.InstBytes != size {
-		return nil, fmt.Errorf("core: translate %#x: size drift between passes", pc)
-	}
+	b.bounds = slices.Clone(em.bounds)
 	e.Mach.WriteCode(addr, words)
 	for _, s := range b.sites {
 		for _, hpc := range s.hostPCs {
@@ -963,7 +985,9 @@ func (e *Engine) translate(pc uint32) (*block, error) {
 	}
 	e.blocks[pc] = b
 	e.blockSpans = append(e.blockSpans, blockSpan{lo: addr, hi: addr + size, b: b})
-	e.event(EvTranslate, pc, addr, fmt.Sprintf("%d insts, %d blocks", len(insts), nblocks))
+	if e.events != nil {
+		e.event(EvTranslate, pc, addr, fmt.Sprintf("%d insts, %d blocks", len(b.insts), nblocks))
+	}
 	if e.aotPass {
 		// Offline pre-translation: counted separately and free of simulated
 		// cycles — the AOT tier's whole point is that this work happens
@@ -977,7 +1001,7 @@ func (e *Engine) translate(pc uint32) (*block, error) {
 			// miss, SMC invalidation, or a post-flush refill.
 			e.stats.AOTFallbacks++
 		}
-		cost := e.Opt.TranslateFixedCycles + e.Opt.TranslateCyclesPerInst*uint64(len(insts))
+		cost := e.Opt.TranslateFixedCycles + e.Opt.TranslateCyclesPerInst*uint64(len(b.insts))
 		e.Mach.AddCycles(cost)
 	}
 	if nblocks > 1 {
@@ -1001,18 +1025,18 @@ const (
 
 // formTrace extends the hot block at head along its dominant successors
 // (superblock formation — the "retranslate and further optimize" phase the
-// paper's two-phase framework describes). The returned instruction list
-// concatenates the chained blocks; edges records how each trace-internal
-// terminator is emitted.
+// paper's two-phase framework describes). The successors' instructions are
+// appended to the head block's in insts/lens/pcs; edges records how each
+// trace-internal terminator is emitted.
 func (e *Engine) formTrace(head uint32, insts []guest.Inst, lens []int, pcs []uint32) (
 	[]guest.Inst, []int, []uint32, map[int]traceEdge, int, error) {
-	edges := map[int]traceEdge{}
-	visited := map[uint32]bool{head: true}
+	var edges map[int]traceEdge
+	visited := [maxTraceBlocks]uint32{head}
 	nblocks := 1
 	cur := head
 	for nblocks < maxTraceBlocks && len(insts) < maxTraceInsts {
 		next, ok := e.dominantSuccessor(cur)
-		if !ok || visited[next] {
+		if !ok || slices.Contains(visited[:nblocks], next) {
 			break
 		}
 		// Only JMP/JCC/fallthrough terminators can be folded into a trace.
@@ -1045,20 +1069,23 @@ func (e *Engine) formTrace(head uint32, insts []guest.Inst, lens []int, pcs []ui
 			}
 			// Block split: the successor already follows fall-through.
 		}
-		nInsts, nLens, nPCs, err := e.decodeBlock(next)
+		var err error
+		n0 := len(insts)
+		insts, lens, pcs, err = e.decodeBlock(next, insts, lens, pcs)
 		if err != nil {
 			return nil, nil, nil, nil, 0, err
 		}
-		if len(insts)+len(nInsts) > maxTraceInsts {
+		if len(insts) > maxTraceInsts {
+			insts, lens, pcs = insts[:n0], lens[:n0], pcs[:n0]
 			break
 		}
 		if term.Op == guest.JMP || term.Op == guest.JCC {
-			edges[len(insts)-1] = edge
+			if edges == nil {
+				edges = make(map[int]traceEdge)
+			}
+			edges[last] = edge
 		}
-		insts = append(insts, nInsts...)
-		lens = append(lens, nLens...)
-		pcs = append(pcs, nPCs...)
-		visited[next] = true
+		visited[nblocks] = next
 		nblocks++
 		cur = next
 	}
@@ -1073,8 +1100,8 @@ func (e *Engine) formTrace(head uint32, insts []guest.Inst, lens []int, pcs []ui
 // one would pessimize the straight-line layout AOT exists to provide.
 func (e *Engine) formStaticTrace(head uint32, insts []guest.Inst, lens []int, pcs []uint32) (
 	[]guest.Inst, []int, []uint32, map[int]traceEdge, int, error) {
-	edges := map[int]traceEdge{}
-	visited := map[uint32]bool{head: true}
+	var edges map[int]traceEdge
+	visited := [maxTraceBlocks]uint32{head}
 	nblocks := 1
 	for nblocks < maxTraceBlocks && len(insts) < maxTraceInsts {
 		last := len(insts) - 1
@@ -1091,23 +1118,26 @@ func (e *Engine) formStaticTrace(head uint32, insts []guest.Inst, lens []int, pc
 			}
 			next = termNext // block split: fall-through is unconditional
 		}
-		if visited[next] {
+		if slices.Contains(visited[:nblocks], next) {
 			break
 		}
-		nInsts, nLens, nPCs, err := e.decodeBlock(next)
+		var err error
+		n0 := len(insts)
+		insts, lens, pcs, err = e.decodeBlock(next, insts, lens, pcs)
 		if err != nil {
 			return nil, nil, nil, nil, 0, err
 		}
-		if len(insts)+len(nInsts) > maxTraceInsts {
+		if len(insts) > maxTraceInsts {
+			insts, lens, pcs = insts[:n0], lens[:n0], pcs[:n0]
 			break
 		}
 		if fold {
+			if edges == nil {
+				edges = make(map[int]traceEdge)
+			}
 			edges[last] = traceEdge{skip: true}
 		}
-		insts = append(insts, nInsts...)
-		lens = append(lens, nLens...)
-		pcs = append(pcs, nPCs...)
-		visited[next] = true
+		visited[nblocks] = next
 		nblocks++
 	}
 	return insts, lens, pcs, edges, nblocks, nil

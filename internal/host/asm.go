@@ -6,29 +6,53 @@ import "fmt"
 // tests. It assembles a contiguous run of instruction words starting at a
 // base address, with label/fixup support for local branches.
 //
+// Labels are small integers handed out by NewLabel; Label and Br accept
+// string names as a convenience for hand-written code and map them onto
+// the same integer labels. An Asm can be recycled with Reset, which keeps
+// its buffers, so an emitter that assembles many short sequences (the
+// translator) allocates only while the buffers grow.
+//
 // Errors (bad displacement, unknown label) are sticky and reported by
 // Finish, so emission code can be written straight-line.
 type Asm struct {
 	base   uint64
 	words  []uint32
-	labels map[string]int // label -> word index
+	labels []int // Label -> word index, or -1 while unbound
 	fixups []fixup
+	names  map[string]Label // string-named labels, made on first use
 	err    error
 }
 
+// Label names a branch target within one assembly; obtain one from
+// NewLabel. The zero Label is never handed out, so a branch to an
+// uninitialized Label fails at Finish as an undefined label.
+type Label int32
+
 type fixup struct {
-	index int    // word to patch
-	label string // target label
+	index int   // word to patch
+	label Label // target label
 }
 
 // NewAsm returns an emitter whose first instruction lands at base. The base
 // must be 4-byte aligned.
 func NewAsm(base uint64) *Asm {
-	a := &Asm{base: base, labels: make(map[string]int)}
+	a := &Asm{}
+	a.Reset(base)
+	return a
+}
+
+// Reset empties the emitter and re-bases it at base, keeping its buffers.
+// Words returned by an earlier Finish are overwritten by later emission.
+func (a *Asm) Reset(base uint64) {
+	a.base = base
+	a.words = a.words[:0]
+	a.labels = append(a.labels[:0], -1) // Label 0 is never handed out
+	a.fixups = a.fixups[:0]
+	clear(a.names)
+	a.err = nil
 	if base%InstBytes != 0 {
 		a.fail(fmt.Errorf("host: asm base %#x not instruction-aligned", base))
 	}
-	return a
 }
 
 func (a *Asm) fail(err error) {
@@ -52,13 +76,45 @@ func (a *Asm) Emit(i Inst) {
 	a.words = append(a.words, w)
 }
 
-// Label defines name at the current PC.
-func (a *Asm) Label(name string) {
-	if _, dup := a.labels[name]; dup {
-		a.fail(fmt.Errorf("host: asm: duplicate label %q", name))
+// NewLabel returns a fresh, unbound label.
+func (a *Asm) NewLabel() Label {
+	a.labels = append(a.labels, -1)
+	return Label(len(a.labels) - 1)
+}
+
+// Bind defines l at the current PC. Binding a label twice is an error.
+func (a *Asm) Bind(l Label) {
+	if a.labels[l] >= 0 {
+		a.fail(fmt.Errorf("host: asm: label %s bound twice", a.labelName(l)))
 		return
 	}
-	a.labels[name] = len(a.words)
+	a.labels[l] = len(a.words)
+}
+
+// Label defines the string-named label name at the current PC.
+func (a *Asm) Label(name string) { a.Bind(a.named(name)) }
+
+// named returns the label for name, creating it on first use.
+func (a *Asm) named(name string) Label {
+	if l, ok := a.names[name]; ok {
+		return l
+	}
+	if a.names == nil {
+		a.names = make(map[string]Label)
+	}
+	l := a.NewLabel()
+	a.names[name] = l
+	return l
+}
+
+// labelName renders l for error messages: its string name if it has one.
+func (a *Asm) labelName(l Label) string {
+	for name, nl := range a.names {
+		if nl == l {
+			return fmt.Sprintf("%q", name)
+		}
+	}
+	return fmt.Sprintf("#%d", l)
 }
 
 // Mem emits a memory-format instruction: op ra, disp(rb).
@@ -79,10 +135,14 @@ func (a *Asm) OprLit(op Op, ra Reg, lit uint8, rc Reg) {
 // Mov emits a register move (BIS rs, rs, rd).
 func (a *Asm) Mov(rs, rd Reg) { a.Opr(BIS, rs, rs, rd) }
 
-// Br emits a branch-format instruction targeting a local label, fixed up at
+// Br emits a branch-format instruction targeting the string-named label,
+// fixed up at Finish time.
+func (a *Asm) Br(op Op, ra Reg, label string) { a.BrLabel(op, ra, a.named(label)) }
+
+// BrLabel emits a branch-format instruction targeting l, fixed up at
 // Finish time.
-func (a *Asm) Br(op Op, ra Reg, label string) {
-	a.fixups = append(a.fixups, fixup{index: len(a.words), label: label})
+func (a *Asm) BrLabel(op Op, ra Reg, l Label) {
+	a.fixups = append(a.fixups, fixup{index: len(a.words), label: l})
 	a.Emit(Inst{Op: op, Ra: ra})
 }
 
@@ -150,19 +210,20 @@ func (a *Asm) MovImm(r Reg, v int64) {
 	}
 }
 
-// Finish resolves fixups and returns the assembled instruction words.
+// Finish resolves fixups and returns the assembled instruction words. The
+// slice aliases the emitter's buffer: it stays valid until the next Reset.
 func (a *Asm) Finish() ([]uint32, error) {
 	for _, f := range a.fixups {
-		idx, ok := a.labels[f.label]
-		if !ok {
-			a.fail(fmt.Errorf("host: asm: undefined label %q", f.label))
+		idx := a.labels[f.label]
+		if idx < 0 {
+			a.fail(fmt.Errorf("host: asm: undefined label %s", a.labelName(f.label)))
 			continue
 		}
 		pc := a.base + uint64(f.index)*InstBytes
 		target := a.base + uint64(idx)*InstBytes
 		d, ok := BrDispFor(pc, target)
 		if !ok {
-			a.fail(fmt.Errorf("host: asm: branch to %q out of range", f.label))
+			a.fail(fmt.Errorf("host: asm: branch to %s out of range", a.labelName(f.label)))
 			continue
 		}
 		a.words[f.index] = a.words[f.index]&^0x1FFFFF | uint32(d)&0x1FFFFF

@@ -343,6 +343,50 @@ func TestAsmLabels(t *testing.T) {
 	}
 }
 
+// TestAsmIntegerLabelsAndReset covers the translator's label API: labels
+// from NewLabel resolve like named ones, a branch to the zero Label is an
+// undefined-label error, and Reset recycles an emitter without leaking
+// labels, fixups or errors from the previous assembly.
+func TestAsmIntegerLabelsAndReset(t *testing.T) {
+	a := NewAsm(0x20000)
+	top, out := a.NewLabel(), a.NewLabel()
+	a.Bind(top)
+	a.OprLit(SUBQ, R1, 1, R1)
+	a.BrLabel(BNE, R1, top)
+	a.BrLabel(BR, Zero, out)
+	a.Bind(out)
+	words, err := a.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bne, _ := Decode(words[1]); bne.BranchTarget(0x20004) != 0x20000 {
+		t.Errorf("bne target = %#x, want 0x20000", bne.BranchTarget(0x20004))
+	}
+	if br, _ := Decode(words[2]); br.BranchTarget(0x20008) != 0x2000c {
+		t.Errorf("br target = %#x, want 0x2000c", br.BranchTarget(0x20008))
+	}
+
+	a.Reset(0x1000)
+	var unset Label
+	a.BrLabel(BR, Zero, unset)
+	if _, err := a.Finish(); err == nil {
+		t.Error("branch to the zero Label: want undefined-label error")
+	}
+
+	// After Reset the failed assembly leaves no trace: a named label can be
+	// bound again and the words start over at the new base.
+	a.Reset(0x3000)
+	a.Label("x")
+	a.Br(BR, Zero, "x")
+	words, err = a.Finish()
+	if err != nil {
+		t.Fatalf("after Reset: %v", err)
+	}
+	if len(words) != 1 || a.PC() != 0x3004 {
+		t.Fatalf("after Reset: %d words, PC %#x; want 1 word, PC 0x3004", len(words), a.PC())
+	}
+}
+
 func TestAsmErrors(t *testing.T) {
 	a := NewAsm(0x1000)
 	a.Br(BR, Zero, "nowhere")

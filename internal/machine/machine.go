@@ -149,15 +149,20 @@ type Machine struct {
 	// filled. Patching code invalidates the affected line, which models the
 	// I-stream coherence actions (imb) a real BT must perform.
 	//
-	// Lines are held in a dense slice indexed by I-line offset from the
+	// Lines are held in a dense window indexed by I-line offset from the
 	// first line ever fetched — in practice the bottom of the translated
 	// code cache, which is where all host execution lives — so the per-line
-	// lookup on the fetch path is an array index, not a map probe. Lines
-	// below the anchor or beyond the dense window (code placed far from the
-	// anchor by tests or exotic layouts) fall back to a map.
+	// lookup on the fetch path is two array indexes, not a map probe. The
+	// window is a directory of lineChunks, each made on first touch, so a
+	// run pays for the code it executes (typically the bottom of the code
+	// cache and the stub zone at its top), not for the distance between.
+	// Lines themselves are carved from slabs. Lines below the anchor or
+	// beyond the dense window (code placed far from the anchor by tests or
+	// exotic layouts) fall back to a map.
 	anchored  bool
-	denseBase uint64   // line ID of dense[0]; valid once anchored
-	dense     []*iline // grown on demand up to maxDenseLines
+	denseBase uint64       // line ID of the window's first line; valid once anchored
+	dense     []*lineChunk // maxDenseLines/lineChunkLines slots, made on first use
+	lineSlab  []iline      // unused lines of the current slab
 	farLines  map[uint64]*iline
 	curLine   *iline
 	curLineID uint64
@@ -188,12 +193,21 @@ const (
 	ilineInsts = (1 << ilineShift) / host.InstBytes
 	// maxDenseLines bounds the dense decode window (64 MiB of code).
 	maxDenseLines = (64 << 20) >> ilineShift
+	// lineChunkShift sets the window's chunk size: 1024 lines, 64 KiB of
+	// code per chunk.
+	lineChunkShift = 10
+	lineChunkLines = 1 << lineChunkShift
+	// lineSlabLen is the number of lines allocated together.
+	lineSlabLen = 64
 )
 
 type iline struct {
 	valid [ilineInsts]bool
 	inst  [ilineInsts]host.Inst
 }
+
+// lineChunk is one directory slot's worth of the dense line window.
+type lineChunk [lineChunkLines]*iline
 
 // New creates a machine over m with cost model p.
 func New(m *mem.Memory, p Params) *Machine {
@@ -223,8 +237,7 @@ func (m *Machine) Reset() {
 	m.faults = nil
 	m.anchored = false
 	m.denseBase = 0
-	clear(m.dense)
-	clear(m.farLines)
+	m.dropLines()
 	m.curLine, m.curLineID = nil, 0
 	m.slotOpen = false
 	m.clearTraceState()
@@ -308,10 +321,19 @@ func (m *Machine) Patch(addr uint64, word uint32) {
 // barrier). WriteCode/Patch already invalidate precisely; IMB exists for
 // bulk invalidation such as a code cache flush.
 func (m *Machine) IMB() {
-	clear(m.dense) // keep the window and its capacity; drop every line
-	clear(m.farLines)
+	m.dropLines()
 	m.curLine, m.curLineID = nil, 0
 	m.dropAllTraces()
+}
+
+// dropLines drops every decoded line, keeping the window's chunks.
+func (m *Machine) dropLines() {
+	for _, c := range m.dense {
+		if c != nil {
+			clear(c[:])
+		}
+	}
+	clear(m.farLines)
 }
 
 func (m *Machine) invalidate(addr, size uint64) {
@@ -319,8 +341,10 @@ func (m *Machine) invalidate(addr, size uint64) {
 	first := addr >> ilineShift
 	last := (addr + size - 1) >> ilineShift
 	for l := first; l <= last; l++ {
-		if off := l - m.denseBase; m.anchored && off < uint64(len(m.dense)) {
-			m.dense[off] = nil
+		if off := l - m.denseBase; m.anchored && off < maxDenseLines {
+			if c := m.dense[off>>lineChunkShift]; c != nil {
+				c[off&(lineChunkLines-1)] = nil
+			}
 		} else if m.farLines != nil {
 			delete(m.farLines, l)
 		}
@@ -338,22 +362,18 @@ func (m *Machine) line(lineID uint64) *iline {
 		m.denseBase = lineID
 	}
 	if off := lineID - m.denseBase; off < maxDenseLines {
-		if off >= uint64(len(m.dense)) {
-			newLen := uint64(2 * len(m.dense))
-			if newLen < off+64 {
-				newLen = off + 64
-			}
-			if newLen > maxDenseLines {
-				newLen = maxDenseLines
-			}
-			nd := make([]*iline, newLen)
-			copy(nd, m.dense)
-			m.dense = nd
+		if m.dense == nil {
+			m.dense = make([]*lineChunk, maxDenseLines/lineChunkLines)
 		}
-		l := m.dense[off]
+		c := m.dense[off>>lineChunkShift]
+		if c == nil {
+			c = new(lineChunk)
+			m.dense[off>>lineChunkShift] = c
+		}
+		l := c[off&(lineChunkLines-1)]
 		if l == nil {
-			l = new(iline)
-			m.dense[off] = l
+			l = m.newLine()
+			c[off&(lineChunkLines-1)] = l
 		}
 		return l
 	}
@@ -362,9 +382,21 @@ func (m *Machine) line(lineID uint64) *iline {
 	}
 	l := m.farLines[lineID]
 	if l == nil {
-		l = new(iline)
+		l = m.newLine()
 		m.farLines[lineID] = l
 	}
+	return l
+}
+
+// newLine returns an empty line carved from the current slab. Dropped
+// lines are never recycled into a slab (see fetch), so a slab lives as
+// long as any of its lines is still cached or held.
+func (m *Machine) newLine() *iline {
+	if len(m.lineSlab) == 0 {
+		m.lineSlab = make([]iline, lineSlabLen)
+	}
+	l := &m.lineSlab[0]
+	m.lineSlab = m.lineSlab[1:]
 	return l
 }
 

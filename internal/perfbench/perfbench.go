@@ -78,6 +78,7 @@ func Suite() []Bench {
 		InterpreterLoop(),
 		DispatchLoop(),
 		DispatchLoopTraced(),
+		ColdTranslate(),
 		EndToEnd(),
 	}
 }
@@ -420,7 +421,70 @@ func CollectTraceComparison(note string) (*Summary, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 5: end-to-end DBT throughput.
+// Layer 5: cold translation throughput.
+
+// ColdTranslateBlocks is the number of basic blocks in the ColdTranslate
+// program; every one is translated exactly once per op.
+const ColdTranslateBlocks = 500
+
+// coldProgram builds a straight chain of ColdTranslateBlocks basic blocks,
+// each executed once: an aligned or misaligned load, ALU work, a store,
+// and a compare-and-branch into the next block; the last block halts.
+func coldProgram() ([]byte, uint32, error) {
+	b := guest.NewBuilder()
+	b.MovImm(guest.EAX, int32(guest.DataBase))
+	b.MovImm(guest.ECX, 0)
+	for i := 0; i < ColdTranslateBlocks; i++ {
+		b.Label(fmt.Sprintf("b%d", i))
+		b.Load(guest.LD4, guest.EDX, guest.MemRef{Base: guest.EAX, Disp: int32(i%8*4 + i%3%2)})
+		b.ALU(guest.ADDrr, guest.EBX, guest.EDX)
+		b.ALUImm(guest.XORri, guest.EBX, int32(i))
+		b.Store(guest.ST4, guest.MemRef{Base: guest.EAX, Disp: int32(64 + i%16*4)}, guest.EBX)
+		b.ALUImm(guest.ADDri, guest.ECX, 1)
+		if i == ColdTranslateBlocks-1 {
+			b.Halt()
+			break
+		}
+		b.CmpImm(guest.ECX, int32(i+1))
+		b.Jcc(guest.E, fmt.Sprintf("b%d", i+1))
+		b.Halt() // never reached: the compare always holds
+	}
+	img, err := b.Build(guest.CodeBase)
+	return img, guest.CodeBase, err
+}
+
+// ColdTranslate measures translation throughput: each op loads the
+// ColdTranslateBlocks-block program into a fresh engine (Direct: no
+// profiling phase, no trap patching) and runs it once, so every block is
+// decoded, translated and emitted exactly once and executed once. The op
+// is dominated by the translator; its allocations per translation are
+// gated by TestColdTranslateAllocs.
+func ColdTranslate() Bench {
+	return Bench{
+		Name:       "cold-translate",
+		Unit:       "translation",
+		UnitsPerOp: ColdTranslateBlocks,
+		Make: func() (func(), error) {
+			img, entry, err := coldProgram()
+			if err != nil {
+				return nil, err
+			}
+			op := func() {
+				m := mem.New()
+				m.WriteBytes(uint64(entry), img)
+				mach := machine.New(m, machine.DefaultParams())
+				eng := core.NewEngine(m, mach, core.DefaultOptions(core.Direct))
+				if err := eng.Run(entry, 1<<62); err != nil {
+					panic(err)
+				}
+			}
+			return op, nil
+		},
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Layer 6: end-to-end DBT throughput.
 
 // EndToEnd measures a full DPEH run — interpret, heat, translate, trap,
 // patch — on a fresh engine each op, reported in guest MIPS. This is the

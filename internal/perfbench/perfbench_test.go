@@ -2,6 +2,10 @@ package perfbench
 
 import (
 	"testing"
+
+	"mdabt/internal/core"
+	"mdabt/internal/machine"
+	"mdabt/internal/mem"
 )
 
 // runBench adapts a suite entry to the standard testing harness.
@@ -27,6 +31,7 @@ func BenchmarkGuestExec(b *testing.B)          { runBench(b, GuestExec()) }
 func BenchmarkInterpreterLoop(b *testing.B)    { runBench(b, InterpreterLoop()) }
 func BenchmarkDispatchLoop(b *testing.B)       { runBench(b, DispatchLoop()) }
 func BenchmarkDispatchLoopTraced(b *testing.B) { runBench(b, DispatchLoopTraced()) }
+func BenchmarkColdTranslate(b *testing.B)      { runBench(b, ColdTranslate()) }
 func BenchmarkEndToEnd(b *testing.B)           { runBench(b, EndToEnd()) }
 
 // TestSteadyStateAllocs pins the PR's allocation-free guarantee: after
@@ -42,6 +47,40 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, op); allocs > 0 {
 			t.Errorf("%s: %v allocs per op in steady state, want 0", bench.Name, allocs)
 		}
+	}
+}
+
+// maxAllocsPerTranslation bounds the cold translation path's heap
+// allocations per translated block, fresh engine included (about 15 at Go
+// 1.24; the bound leaves room for other toolchains' map and slice growth).
+// It is a deterministic counter, so unlike a timing it can gate CI.
+const maxAllocsPerTranslation = 20
+
+// TestColdTranslateAllocs gates the cold translation path's allocations:
+// one ColdTranslate op must translate every block exactly once and stay
+// under maxAllocsPerTranslation allocations per translation.
+func TestColdTranslateAllocs(t *testing.T) {
+	img, entry, err := coldProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mem.New()
+	m.WriteBytes(uint64(entry), img)
+	eng := core.NewEngine(m, machine.New(m, machine.DefaultParams()), core.DefaultOptions(core.Direct))
+	if err := eng.Run(entry, 1<<62); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().BlocksTranslated; got != ColdTranslateBlocks {
+		t.Fatalf("cold program translated %d blocks, want %d", got, ColdTranslateBlocks)
+	}
+	op, err := ColdTranslate().Make()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTranslation := testing.AllocsPerRun(5, op) / ColdTranslateBlocks
+	t.Logf("%.2f allocs per translation", perTranslation)
+	if perTranslation > maxAllocsPerTranslation {
+		t.Errorf("%.2f allocs per translation, want ≤ %d", perTranslation, maxAllocsPerTranslation)
 	}
 }
 
